@@ -1,46 +1,13 @@
 """Arbitrary-precision rational coefficients.
 
-gmpy2.mpq is used when importable (C-backed, much faster gcd-normalization);
-fractions.Fraction otherwise. Both expose .numerator/.denominator and the
-same operator algebra, and all serialization goes through those two integers,
-so outputs are backend-independent. Set SEMILAURENT_PURE=1 to force Fraction.
+The one module that names the coefficient type: fractions.Fraction. All
+serialization goes through .numerator/.denominator.
 """
 
-import os
 from fractions import Fraction
 
-if os.environ.get("SEMILAURENT_PURE") == "1":
-    _mpq = None
-else:
-    try:
-        from gmpy2 import mpq as _mpq
-    except ImportError:
-        _mpq = None
+BACKEND = "fractions"
 
-if _mpq is not None:
-    BACKEND = "gmpy2"
-
-    def rat(num, den=1):
-        return _mpq(num, den)
-
-else:
-    BACKEND = "fractions"
-
-    def rat(num, den=1):
-        return Fraction(num, den)
-
-
+rat = Fraction
 RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
-
-
-def rat_from_fraction(f):
-    return rat(f.numerator, f.denominator)
-
-
-def as_fraction(q):
-    return Fraction(q.numerator, q.denominator)
-
-
-def is_integer_rat(q):
-    return q.denominator == 1

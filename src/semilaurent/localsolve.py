@@ -451,12 +451,11 @@ def cyclic_vector(c, p, max_trials=32, seed=0, skip_standard=False):
     )
 
 
-def rescale_companion(cd, p, ell):
-    """Rescale the companion column into k[[t]] with minimal valuation zero.
+def _rescale_exponent(cd, p, ell):
+    """alpha = max_j v(h_j)/(p^j - p^N) and the integer p^(N-1) ell alpha.
 
-    New column: h'_j = t^(p^{N-1} (p^N - p^j) ell alpha) * h_j(t^(p^{N-1} ell)),
-    alpha = max_j v(h_j)/(p^j - p^N). Requires lcm(p-1, ..., p^N-1) | ell for
-    integral exponents; DivisibilityViolated otherwise.
+    SingularWithinPrecision when the companion column vanishes,
+    DivisibilityViolated when p^(N-1) ell alpha is not an integer.
     """
     n = len(cd.h)
     ratios = []
@@ -467,7 +466,6 @@ def rescale_companion(cd, p, ell):
     if not ratios:
         raise SingularWithinPrecision("companion column vanishes within precision")
     alpha = max(ratios)
-    sub = p ** (n - 1) * ell
     shift_base = Fraction(p ** (n - 1) * ell) * alpha
     if shift_base.denominator != 1:
         raise DivisibilityViolated(
@@ -475,6 +473,19 @@ def rescale_companion(cd, p, ell):
             f"ell must be divisible by lcm(p-1, ..., p^N-1) = "
             f"{lcm(*[p**k - 1 for k in range(1, n + 1)])}"
         )
+    return alpha, int(shift_base)
+
+
+def rescale_companion(cd, p, ell):
+    """Rescale the companion column into k[[t]] with minimal valuation zero.
+
+    New column: h'_j = t^(p^{N-1} (p^N - p^j) ell alpha) * h_j(t^(p^{N-1} ell)),
+    alpha = max_j v(h_j)/(p^j - p^N). Requires lcm(p-1, ..., p^N-1) | ell for
+    integral exponents; DivisibilityViolated otherwise.
+    """
+    n = len(cd.h)
+    alpha, _ = _rescale_exponent(cd, p, ell)
+    sub = p ** (n - 1) * ell
     out = []
     for j, h in enumerate(cd.h):
         e = Fraction(p ** (n - 1) * (p**n - p**j) * ell) * alpha
@@ -806,7 +817,7 @@ def _trivialize_rec(c, target, max_trials, rng, depth, skip_standard=False):
     cyc = cyclic_vector(c, p, max_trials, rng.next_u64(), skip_standard)
     rescaled = rescale_companion(cyc.companion, p, ell)
     cap = prec + max(32, prec)
-    alpha_shift = _rescale_vector_shift(cyc.companion, p, ell, n)
+    _, alpha_shift = _rescale_exponent(cyc.companion, p, ell)
     elem = p ** (n - 1) * ell
     f_elem = c.value_at(elem)
     v_new = [
@@ -1077,22 +1088,6 @@ def _refine_gauge(c, gauge, rep, target):
             row.append(LaurentSeries.from_terms(field, terms, new_prec))
         rows.append(row)
     return GaugeTransform(SeriesMatrix(field, rows))
-
-
-def _rescale_vector_shift(cd, p, ell, n):
-    """Integer exponent p^{N-1} ell alpha of the rescaling t-power."""
-    ratios = []
-    for j, h in enumerate(cd.h):
-        if h.is_zero():
-            continue
-        ratios.append(Fraction(h.valuation_of(), p**j - p**n))
-    alpha = max(ratios)
-    shift = Fraction(p ** (n - 1) * ell) * alpha
-    if shift.denominator != 1:
-        raise DivisibilityViolated(
-            f"rescaling exponent {shift} is not an integer"
-        )
-    return int(shift)
 
 
 def trivialize(c, target_prec=None, max_trials=32, seed=0):

@@ -428,23 +428,6 @@ def _cancel(num, den):
     return num, den
 
 
-def rf_arith(a, b, op):
-    """Dispatch form; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def rf_substitute(f, images):
-    return f.substitute(images)
-
-
 def jacobian_det(images):
     """Determinant of the matrix of partial derivatives of the images.
 

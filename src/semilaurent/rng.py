@@ -35,14 +35,7 @@ class SplitMix64:
             if u < limit:
                 return lo + (u % span)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def nonzero_int(self, bound):
         """Uniform integer in [-bound, bound] excluding 0."""
         v = self.randint(1, 2 * bound)
         return v - bound - 1 if v <= bound else v - bound
-
-    def fork(self, tag):
-        """Independent child stream keyed by an integer tag."""
-        return SplitMix64(self.next_u64() ^ (tag * 0x9E3779B97F4A7C15))

@@ -8,7 +8,7 @@ equality is coefficient-wise. No floating point anywhere.
 from math import gcd
 
 from . import kernels
-from ._ratcoeff import RAT_ONE, RAT_ZERO, as_fraction, rat
+from ._ratcoeff import RAT_ONE, RAT_ZERO, rat
 from .errors import DivisionByZero, FieldMismatch, OrderNotAvailable
 
 
@@ -224,7 +224,7 @@ class Scalar:
         return self.coeffs[0]
 
     def key(self):
-        """Hashable, backend-independent identity key."""
+        """Hashable identity key."""
         return (
             self.field.kind,
             self.field.conductor,
@@ -233,7 +233,7 @@ class Scalar:
 
     def sort_key(self):
         """Deterministic total order: lexicographic on the coordinates."""
-        return tuple(as_fraction(c) for c in self.coeffs)
+        return self.coeffs
 
     def __eq__(self, other):
         return (
@@ -441,19 +441,6 @@ def _poly_divmod(num, den):
         if len(num) == 1 and not num[0]:
             break
     return q, num
-
-
-def scalar_arith(a, b, op):
-    """Dispatch form of the field operations; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def root_of_unity(field, order):

@@ -271,26 +271,3 @@ class LaurentSeries:
                     parts.append(f"{cs}*{t}")
         body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
         return f"{body} + O(t^{self.prec})"
-
-
-def series_arith(a, b, op):
-    """Dispatch form; op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_invert(a):
-    return a.invert()
-
-
-def substitute_power(a, p):
-    return a.substitute_power(p)
-
-
-def valuation_of(a):
-    return a.valuation_of()
